@@ -17,17 +17,18 @@
  *   past ``seq`` (it is unique).  The float fast path is used only when
  *   both times are exact floats; anything else falls back to Python
  *   rich comparison, so mixed int/float times order identically.
- * - The run-until branch (``max_events is None and until is not
- *   None``) keeps the executed-events counter in a local flushed at
- *   loop exit, so a mid-run callback reads the same (stale) figure the
- *   Python fast branch exposes — telemetry's sampled
- *   ``kernel/events_executed`` series byte-compares across kernels
- *   because of this, not despite it.  Every other branch flushes the
- *   counter per event, exactly like the Python generic branch.
+ * - One loop and one counter rule for every ``until``/``max_events``
+ *   combination: the executed-events counter lives in a local flushed
+ *   when ``run`` exits (normally, by ``stop()`` or by a raising
+ *   callback), so a mid-run callback reads the figure from when ``run``
+ *   was entered — telemetry's sampled ``kernel/events_executed`` series
+ *   byte-compares across kernels because of this, not despite it.
  * - Lazy drops (cancelled handles, superseded timer versions) touch no
- *   counters; the clock is written before the callback fires; the
- *   clock snaps to ``until`` only on a clean non-stopped exit; the
- *   ``_running`` flag and counter flush survive a raising callback.
+ *   counters; the clock is written before the callback fires; on a
+ *   non-stopped exit the clock snaps to ``until`` only when the heap is
+ *   empty or its head lies past ``until`` (a spent budget with earlier
+ *   events still queued leaves the clock where it is); the ``_running``
+ *   flag and counter flush survive a raising callback.
  *
  * NaN event times are unrepresentable (every scheduler rejects them),
  * so the double comparison fast path is exact.
@@ -361,7 +362,7 @@ ck_run(PyObject *module, PyObject *args)
     PyObject *heap = NULL, *result = NULL;
     PyObject **dictptr;
     double until_d = 0.0, budget = 0.0;
-    int until_is_none, until_is_float, budget_is_inf, flush_per_event;
+    int until_is_none, until_is_float, budget_is_inf;
     long long executed = 0;
     int started = 0, failed = 0;
 
@@ -404,10 +405,6 @@ ck_run(PyObject *module, PyObject *args)
         if (budget == -1.0 && PyErr_Occurred())
             return NULL;
     }
-    /* The Python fast branch (until-only) holds the executed counter in
-     * a local flushed at exit; every other branch flushes per event. */
-    flush_per_event = !(budget_is_inf && !until_is_none);
-
     {
         PyObject *exec_obj = sim_get(dictptr, s_events_executed);
         if (exec_obj == NULL)
@@ -648,19 +645,6 @@ ck_run(PyObject *module, PyObject *args)
             goto error;
         }
         executed += 1;
-        if (flush_per_event) {
-            PyObject *exec_obj = PyLong_FromLongLong(executed);
-            if (exec_obj == NULL
-                    || PyDict_SetItem(*dictptr, s_events_executed,
-                                      exec_obj) < 0) {
-                Py_XDECREF(exec_obj);
-                Py_DECREF(callback);
-                Py_XDECREF(cargs);
-                Py_DECREF(entry);
-                goto error;
-            }
-            Py_DECREF(exec_obj);
-        }
         if (!budget_is_inf)
             budget -= 1.0;
 #if CK_HAVE_DICT_VERSION
@@ -685,7 +669,8 @@ ck_run(PyObject *module, PyObject *args)
     }
 #endif
 
-    /* Clean exit: snap the clock to the horizon. */
+    /* Clean exit: snap the clock to the horizon, but only when nothing
+     * at or before it is still queued. */
     if (!until_is_none) {
         PyObject *stopped = sim_get(dictptr, s_stopped);
         if (stopped == NULL)
@@ -697,10 +682,25 @@ ck_run(PyObject *module, PyObject *args)
             PyObject *now = sim_get(dictptr, s_now);
             if (now == NULL)
                 goto error;
-            int lt = PyObject_RichCompareBool(now, until, Py_LT);
-            if (lt < 0)
+            int snap = PyObject_RichCompareBool(now, until, Py_LT);
+            if (snap < 0)
                 goto error;
-            if (lt && PyDict_SetItem(*dictptr, s_now, until) < 0)
+            if (snap && PyList_GET_SIZE(heap) > 0) {
+                PyObject *head = PyList_GET_ITEM(heap, 0);
+                Py_INCREF(head);
+                PyObject *head_time = PySequence_GetItem(head, 0);
+                Py_DECREF(head);
+                if (head_time == NULL)
+                    goto error;
+                if (until_is_float && PyFloat_CheckExact(head_time))
+                    snap = PyFloat_AS_DOUBLE(head_time) > until_d;
+                else
+                    snap = PyObject_RichCompareBool(head_time, until, Py_GT);
+                Py_DECREF(head_time);
+                if (snap < 0)
+                    goto error;
+            }
+            if (snap && PyDict_SetItem(*dictptr, s_now, until) < 0)
                 goto error;
         }
     }

@@ -32,6 +32,17 @@ Heap entries are therefore one of three shapes — ``(time, seq,
 handle)``, ``(time, seq, timer, version)`` or ``(time, seq, None,
 callback, args)`` — and ties never compare past ``seq``, which is
 unique, so entries of different shapes never compare element 2.
+
+This module is the only Python code that pushes timer entries, bumps
+timer versions or counts cancellations; components call
+:class:`Timer` rather than inlining it (``tests/test_structure.py``
+enforces this; the medium's per-receiver fan-out pushes are the one
+documented exception).  :meth:`Simulator.run` is a single loop with
+one rule for every combination of ``until`` and ``max_events``: the
+executed-events counter lives in a local that is flushed when ``run``
+exits, and the clock snaps to ``until`` only when the next queued
+event lies past it.  The optional compiled kernel follows the same
+rule.
 """
 
 from __future__ import annotations
@@ -40,6 +51,7 @@ import heapq
 import itertools
 import math
 import os
+import sys
 from typing import Any, Callable, List, Optional, Tuple
 
 from .errors import SchedulingError, SimulationError
@@ -210,23 +222,7 @@ class Timer:
 
     def schedule(self, delay: float) -> None:
         """Arm (or re-anchor) the timer ``delay`` seconds from now."""
-        # schedule_at inlined: this is the contention hot path (DIFS
-        # re-arms on every idle edge at every station).
-        sim = self._sim
-        time = sim._now + delay
-        if not sim._now <= time < _INF:
-            if time < sim._now:
-                raise SchedulingError(
-                    f"cannot schedule at t={time!r} before now={sim._now!r}")
-            raise SchedulingError(f"invalid time: {time!r}")
-        if self._armed:
-            sim._cancelled_events += 1
-        else:
-            self._armed = True
-        self._version += 1
-        self._time = time
-        sim._scheduled += 1
-        _heappush(sim._heap, (time, sim._next_seq(), self, self._version))
+        self.schedule_at(self._sim._now + delay)
 
     def schedule_at(self, time: float) -> None:
         """Arm (or re-anchor) the timer at absolute time ``time``."""
@@ -351,20 +347,6 @@ class Simulator:
         """The concrete run-loop implementation: ``"python"`` or ``"c"``."""
         return self._kernel
 
-    def pin_python_kernel(self) -> None:
-        """Permanently select the pure-Python reference loop.
-
-        For hooks that must observe the interpreted dispatch loop
-        itself (telemetry's :class:`KernelDispatchProbe` shadows
-        ``run`` directly and needs the shapes counted in Python;
-        debuggers stepping callbacks want Python frames).  Safe to call
-        on any simulator, including one already on the Python kernel;
-        there is deliberately no way back — a mid-suite kernel flip
-        would make ``kernel`` lie to telemetry exports.
-        """
-        self._kernel = "python"
-        self._ckernel_run = None
-
     # --- scheduling ------------------------------------------------------
 
     def schedule(self, delay: float, callback: Callable[..., None],
@@ -443,15 +425,21 @@ class Simulator:
         ``max_events`` have fired.  Returns the simulation time when the
         run stopped.
 
-        When the run stops because of ``until``, the clock is advanced to
-        exactly ``until`` so that back-to-back ``run`` calls observe a
-        continuous timeline.
+        The clock snaps to exactly ``until`` only when the next queued
+        event lies past ``until`` (or nothing is queued), so back-to-back
+        ``run`` calls observe a continuous timeline that never runs
+        backwards.  A run ended by :meth:`stop` or by the ``max_events``
+        budget leaves the clock at the last event it fired.
+
+        The executed-events counter is kept in a local and flushed when
+        ``run`` returns or raises: a callback reading
+        :attr:`events_executed` sees the figure from when ``run`` was
+        entered.
         """
         if self._ckernel_run is not None:
             # Compiled twin of everything below — identical event
             # sequence, counters and clock writes (see _ckernel.c's
-            # bit-identity contract).  Instance-attribute shadows of
-            # ``run`` (KernelDispatchProbe) bypass this automatically.
+            # bit-identity contract).
             return self._ckernel_run(self, until, max_events)
         if self._running:
             raise SimulationError("run() called re-entrantly")
@@ -461,88 +449,47 @@ class Simulator:
         heappop = heapq.heappop
         heappush = heapq.heappush
         timer_class = Timer
+        horizon = _INF if until is None else until
+        executed = self._events_executed
+        # The budget is a bound on the counter itself, so the per-event
+        # test is one int-vs-int compare.
+        limit = sys.maxsize if max_events is None else executed + max_events
         try:
-            if max_events is None and until is not None:
-                # Dominant case (run-until): no budget bookkeeping, and
-                # the executed-events counter lives in a local that is
-                # flushed after every callback *assignment-free* region:
-                # the attribute store happens once per loop exit instead
-                # of once per event.  Callbacks observing
-                # ``events_executed`` mid-run would read a stale figure;
-                # nothing in the library does (the counter is
-                # diagnostics), and ``finally`` keeps it correct across
-                # stop()/exception exits.
-                executed = self._events_executed
-                try:
-                    while heap and not self._stopped:
-                        entry = heappop(heap)
-                        time = entry[0]
-                        if time > until:
-                            heappush(heap, entry)
-                            break
-                        event = entry[2]
-                        if event is None:
-                            callback = entry[3]
-                            args = entry[4]
-                        elif event.__class__ is timer_class:
-                            # Timer entry: (time, seq, timer, version).
-                            # Checked before the handle shape —
-                            # re-anchoring timers outnumber EventHandles
-                            # in contention-heavy runs, so the common
-                            # case pays one class test, not two.
-                            if event._version != entry[3] \
-                                    or not event._armed:
-                                continue  # superseded: lazy drop
-                            event._armed = False
-                            callback = event._callback
-                            args = ()
-                        else:
-                            if event._cancelled:
-                                continue
-                            event._fired = True
-                            callback = event.callback
-                            args = event.args
-                        self._now = time
-                        executed += 1
-                        callback(*args)
-                finally:
-                    self._events_executed = executed
-            else:
-                budget = max_events if max_events is not None else _INF
-                while heap and not self._stopped and budget > 0:
-                    entry = heappop(heap)
-                    time = entry[0]
-                    if until is not None and time > until:
-                        heappush(heap, entry)
-                        break
-                    event = entry[2]
-                    if event is None:
-                        callback = entry[3]
-                        args = entry[4]
-                    elif event.__class__ is timer_class:
-                        # Timer entry: (time, seq, timer, version).
-                        # Checked before the handle shape — re-anchoring
-                        # timers outnumber EventHandles in contention-
-                        # heavy runs, so the common case pays one class
-                        # test, not two.
-                        if event._version != entry[3] or not event._armed:
-                            continue  # superseded/cancelled: lazy drop
-                        event._armed = False
-                        callback = event._callback
-                        args = ()
-                    else:
-                        if event._cancelled:
-                            continue
-                        event._fired = True
-                        callback = event.callback
-                        args = event.args
-                    self._now = time
-                    self._events_executed += 1
-                    budget -= 1
-                    callback(*args)
-            if until is not None and not self._stopped and self._now < until:
+            while heap and not self._stopped and executed < limit:
+                entry = heappop(heap)
+                time = entry[0]
+                if time > horizon:
+                    heappush(heap, entry)
+                    break
+                event = entry[2]
+                if event is None:
+                    callback = entry[3]
+                    args = entry[4]
+                elif event.__class__ is timer_class:
+                    # Timer entry: (time, seq, timer, version).  Checked
+                    # before the handle shape — re-anchoring timers
+                    # outnumber EventHandles in contention-heavy runs,
+                    # so the common case pays one class test, not two.
+                    if event._version != entry[3] or not event._armed:
+                        continue  # superseded/cancelled: lazy drop
+                    event._armed = False
+                    callback = event._callback
+                    args = ()
+                else:
+                    if event._cancelled:
+                        continue
+                    event._fired = True
+                    callback = event.callback
+                    args = event.args
+                self._now = time
+                executed += 1
+                callback(*args)
+            if until is not None and not self._stopped \
+                    and self._now < until \
+                    and (not heap or heap[0][0] > until):
                 self._now = until
         finally:
+            self._events_executed = executed
             self._running = False
         return self._now
 

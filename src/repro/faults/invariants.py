@@ -211,9 +211,9 @@ class InvariantChecker:
 
     # Kernel bookkeeping: scheduled - executed - cancelled must equal a
     # literal census of live heap entries.  NOT part of the periodic
-    # sweep: the run loop's until-only fast branch keeps the executed
-    # counter in a local flushed at exit, so a mid-run sweep would read
-    # a stale figure and false-positive.  Call it between runs.
+    # sweep: the run loop keeps the executed counter in a local
+    # flushed at exit, so a mid-run sweep would read a stale figure and
+    # false-positive.  Call it between runs.
     def check_counter_parity(self) -> None:
         """Audit ``pending_events`` against the live heap, at quiescence.
 
@@ -228,9 +228,8 @@ class InvariantChecker:
         exactly the drift a kernel swap could otherwise leak silently.
 
         Only meaningful while no :meth:`Simulator.run` is in flight:
-        the until-only fast branch batches the executed counter in a
-        run-loop local, so mid-run the stored counter is legitimately
-        stale.  Call it after ``run()`` returns (e.g. from a test or a
+        the run loop batches the executed counter in a local flushed
+        at exit, so mid-run the stored counter is legitimately stale.  Call it after ``run()`` returns (e.g. from a test or a
         macro epilogue), not from the periodic :meth:`check_now` sweep.
         """
         self.checks_run += 1

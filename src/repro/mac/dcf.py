@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace as _dc_replace
-from heapq import heappush as _heappush
 from typing import Any, Callable, Dict, List, Optional
 
 from ..core.engine import Simulator, Timer
@@ -353,8 +352,7 @@ class DcfMac:
         # Equivalent to ``not radio.cca_busy() and not nav.busy`` with
         # the call layers flattened — this predicate runs on every CCA
         # edge and decoded frame in a saturated cell.
-        # KEEP IN SYNC with Radio.cca_busy / Radio._update_cca and the
-        # inlined copy in _maybe_start_ifs.
+        # Equivalence: tests/phy/test_cca_predicates.py.
         # A sleeping radio senses nothing but also cannot transmit, so
         # for *contention* purposes it is never "idle" — the wake-up
         # CCA kick (Radio.wake) resumes channel access.
@@ -379,7 +377,8 @@ class DcfMac:
         """Arm the DIFS/EIFS wait if we are contending and all is quiet.
 
         Runs on every CCA-idle edge, TX completion and decoded frame;
-        the ``_medium_idle`` predicate is inlined (KEEP IN SYNC).
+        the ``_medium_idle`` predicate is inlined (checked by
+        ``tests/phy/test_cca_predicates.py``).
         """
         if self._ifs._armed or self._countdown._armed:
             return  # already contending (most common reject: checked first)
@@ -400,34 +399,14 @@ class DcfMac:
         if incident >= radio._cca_threshold_watts:
             return
         standard = self._standard
-        # Timer.schedule inlined (KEEP IN SYNC with engine.Timer): the
-        # DIFS/EIFS constants are positive finite floats, so the bounds
-        # check cannot fire; this arm runs on every idle edge at every
-        # contending station.
-        ifs = self._ifs
-        sim = self.sim
-        if ifs._armed:
-            sim._cancelled_events += 1
-        else:
-            ifs._armed = True
-        ifs._version += 1
-        time = sim._now + (standard.eifs if self._use_eifs
-                           else standard.difs)
-        ifs._time = time
-        sim._scheduled += 1
-        _heappush(sim._heap, (time, sim._next_seq(), ifs, ifs._version))
+        delay = standard.eifs if self._use_eifs else standard.difs
+        self._ifs.schedule_at(self.sim._now + delay)
 
     def _cancel_access_timers(self) -> None:
-        # Timer.cancel inlined x2 (KEEP IN SYNC with engine.Timer);
-        # runs on every CCA-busy edge at every station.
-        ifs = self._ifs
-        if ifs._armed:
-            ifs._armed = False
-            self.sim._cancelled_events += 1
+        self._ifs.cancel()
         countdown = self._countdown
         if countdown._armed:
-            countdown._armed = False
-            self.sim._cancelled_events += 1
+            countdown.cancel()
             # Freeze: replay the slot boundaries that elapsed since the
             # anchor with the exact float fold the slot-by-slot
             # countdown performed (anchor + slot + slot + ...), so the

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappush as _heappush
 from typing import Any, Callable, Dict, Optional, Set, TYPE_CHECKING
 
 from ..core.engine import Timer
@@ -382,7 +381,8 @@ class Radio:
         """A transmission's energy starts arriving at our antenna.
 
         The hottest callback in any run (once per frame per co-channel
-        radio); ``_update_cca`` is inlined at the tail (KEEP IN SYNC).
+        radio); ``_update_cca`` is inlined at the tail (checked by
+        ``tests/phy/test_cca_predicates.py``).
         Single-arrival edges skip the full table re-sum: ``sum([x])``
         is ``0.0 + x``, which is bit-identical to ``x`` for the
         non-negative powers the medium delivers, so the fast path is
@@ -419,7 +419,8 @@ class Radio:
     def arrival_ends(self, transmission: "Transmission") -> None:
         """A transmission's energy stops arriving (its airtime elapsed).
 
-        ``_update_cca`` inlined at the tail (KEEP IN SYNC).  An emptied
+        ``_update_cca`` inlined at the tail (checked by
+        ``tests/phy/test_cca_predicates.py``).  An emptied
         arrival table short-circuits the re-sum (``sum([])`` is exactly
         ``0.0``).
         """
@@ -535,22 +536,13 @@ class Radio:
             return  # too weak to even see a preamble: pure noise
         if transmission.mode.name not in self.decodable_modes:
             return  # foreign PHY: energy only
-        sim = self._sim
-        timer = self._rx_timer  # Timer.schedule inlined (see _try_lock)
-        if timer._armed:
-            sim._cancelled_events += 1
-        else:
-            timer._armed = True
-        timer._version += 1
-        time = sim._now + transmission.duration
-        timer._time = time
-        sim._scheduled += 1
-        _heappush(sim._heap, (time, sim._next_seq(), timer, timer._version))
+        now = self._sim._now
+        self._rx_timer.schedule_at(now + transmission.duration)
         self._locked = transmission
         self._locked_power = power_watts
         interference = self._incident_watts - power_watts
         self._locked_tracker = self._tracker.reset(
-            power_watts, self._noise_watts, sim._now,
+            power_watts, self._noise_watts, now,
             interference if interference > 0.0 else 0.0)
         self._state = RadioState.RX  # state setter inlined (IDLE -> RX)
         if self.on_state_change is not None:
@@ -586,7 +578,6 @@ class Radio:
             return  # too weak to even see a preamble: pure noise
         if transmission.mode.name not in self.decodable_modes:
             return  # foreign PHY: energy only
-        sim = self._sim
         arrivals = self._arrivals
         # _try_lock only runs from arrival_begins, so the new arrival is
         # already in the table; when it is the only one the re-sum
@@ -598,32 +589,12 @@ class Radio:
         # _try_lock only ever runs at the instant the energy starts
         # arriving, so the frame's tail lands exactly one airtime later
         # (the propagation delay shifted the whole frame, not its length).
-        # Timer.schedule inlined (KEEP IN SYNC with engine.Timer):
-        # airtime is a positive finite float so the bounds check cannot
-        # fire, and this runs once per lock at every receiver.
-        timer = self._rx_timer
-        if timer._armed:
-            sim._cancelled_events += 1
-        else:
-            timer._armed = True
-        timer._version += 1
-        now = sim._now
-        time = now + transmission.duration
-        timer._time = time
-        sim._scheduled += 1
-        _heappush(sim._heap, (time, sim._next_seq(), timer, timer._version))
+        now = self._sim._now
+        self._rx_timer.schedule_at(now + transmission.duration)
         self._locked = transmission
         self._locked_power = power_watts
-        # SinrTracker.reset inlined (KEEP IN SYNC): one lock per decoded
-        # frame per receiver, and the field stores are all there is.
-        tracker = self._tracker
-        tracker.signal_watts = power_watts
-        tracker.noise_watts = self._noise_watts
-        tracker._start = now
-        tracker._last_time = now
-        tracker._current_interference = interference
-        tracker._energy = 0.0
-        self._locked_tracker = tracker
+        self._locked_tracker = self._tracker.reset(
+            power_watts, self._noise_watts, now, interference)
         self._state = RadioState.RX  # state setter inlined (IDLE -> RX)
         if self.on_state_change is not None:
             self.on_state_change(RadioState.RX.value)
@@ -681,7 +652,8 @@ class Radio:
             trace.record(now, self.name, "phy-rx-end",
                          ok=success, snr=round(snr_db, 1),
                          mode=transmission.mode.name)
-        # _update_cca inlined (KEEP IN SYNC): the state was just set to
+        # _update_cca inlined (equivalence:
+        # tests/phy/test_cca_predicates.py): the state was just set to
         # IDLE above, so only the arrival-table branch remains.
         arrivals = self._arrivals
         if not arrivals:
@@ -704,13 +676,14 @@ class Radio:
     def cca_busy(self) -> bool:
         """Clear-channel assessment: is the medium busy right now?
 
-        KEEP IN SYNC with the flattened copies of this predicate in
-        :meth:`_update_cca` below and ``DcfMac._medium_idle`` — they
-        avoid the method-call layers on the per-arrival hot path.  In
-        fast mode the incident-power accumulator is the single source
-        of truth (matching the decisions the ``*_fast`` arrival edges
-        made), so threshold-straddling float residue cannot disagree
-        with an already-delivered CCA edge.
+        The flattened copies of this predicate (:meth:`_update_cca`,
+        the arrival-edge tails, ``DcfMac._medium_idle``) avoid the
+        method-call layers on the per-arrival hot path; their
+        equivalence is checked by ``tests/phy/test_cca_predicates.py``.
+        In fast mode the incident-power accumulator is the single
+        source of truth (matching the decisions the ``*_fast`` arrival
+        edges made), so threshold-straddling float residue cannot
+        disagree with an already-delivered CCA edge.
         """
         state = self._state
         if state is RadioState.TX or state is RadioState.RX:
@@ -723,7 +696,7 @@ class Radio:
 
     def _update_cca(self) -> None:
         # cca_busy() inlined: this runs on every arrival edge.
-        # KEEP IN SYNC with cca_busy() and DcfMac._medium_idle.
+        # Equivalence: tests/phy/test_cca_predicates.py.
         state = self._state
         if state is RadioState.TX or state is RadioState.RX:
             busy = True

@@ -25,14 +25,14 @@ from .export import (parse_jsonl, render_table, summary_table, to_jsonl,
 from .metrics import (CounterMetric, GaugeMetric, HistogramMetric,
                       MetricsRegistry, NULL_METRIC, PeriodicSampler,
                       format_key, make_key)
-from .probes import (KernelDispatchProbe, MacFleetProbe, MediumProbe,
-                     RadioFleetProbe, Telemetry, record_fault_spans)
+from .probes import (MacFleetProbe, MediumProbe, RadioFleetProbe, Telemetry,
+                     record_fault_spans)
 from .spans import FrameSpanTracker, Span, SpanLog
 
 __all__ = [
     "CounterMetric", "FrameSpanTracker", "GaugeMetric", "HistogramMetric",
-    "KernelDispatchProbe", "MacFleetProbe", "MediumProbe", "MetricsRegistry",
-    "NULL_METRIC", "PeriodicSampler", "RadioFleetProbe", "Span", "SpanLog",
+    "MacFleetProbe", "MediumProbe", "MetricsRegistry", "NULL_METRIC",
+    "PeriodicSampler", "RadioFleetProbe", "Span", "SpanLog",
     "Telemetry", "format_key", "make_key", "parse_jsonl", "record_fault_spans",
     "render_table", "summary_table", "to_jsonl", "to_prometheus",
 ]

@@ -19,118 +19,14 @@ construct exactly this.
 
 from __future__ import annotations
 
-import heapq
-import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from ..core.engine import Simulator, Timer
-from ..core.errors import SimulationError
+from ..core.engine import Simulator
 from .metrics import MetricsRegistry, PeriodicSampler
 from .spans import FrameSpanTracker, Span, SpanLog
 
-__all__ = ["KernelDispatchProbe", "MediumProbe", "MacFleetProbe",
-           "RadioFleetProbe", "record_fault_spans", "Telemetry"]
-
-
-class KernelDispatchProbe:
-    """Dispatch-by-shape counting for the kernel run loop.
-
-    The production loop is untouched: :meth:`install` shadows
-    ``sim.run`` with an instrumented twin *as an instance attribute*
-    (the class method stays pristine for uninstrumented simulators).
-    The twin executes the identical event sequence — same heap, same
-    lazy-drop rules, same clock/counter semantics — and additionally
-    counts dispatches per entry shape (handle / timer / fast) and lazy
-    drops (cancelled handles, superseded timer versions).  It folds the
-    fast until-only branch and the budget branch into one generic loop,
-    so instrumented runs trade a little dispatch speed for visibility;
-    that is the telemetry bargain, and exactly why install is opt-in.
-    """
-
-    def __init__(self, sim: Simulator, registry: MetricsRegistry):
-        self.sim = sim
-        self._enabled = registry.enabled
-        self._installed = False
-        self.dispatch_handle = registry.counter("kernel", "dispatch",
-                                                shape="handle")
-        self.dispatch_timer = registry.counter("kernel", "dispatch",
-                                               shape="timer")
-        self.dispatch_fast = registry.counter("kernel", "dispatch",
-                                              shape="fast")
-        self.drops_handle = registry.counter("kernel", "lazy_drops",
-                                             shape="handle")
-        self.drops_timer = registry.counter("kernel", "lazy_drops",
-                                            shape="timer")
-
-    def install(self) -> "KernelDispatchProbe":
-        if self._enabled and not self._installed:
-            self.sim.run = self._run  # shadow the class method
-            self._installed = True
-        return self
-
-    def uninstall(self) -> None:
-        if self._installed:
-            del self.sim.run  # the class method resurfaces
-            self._installed = False
-
-    def _run(self, until: Optional[float] = None,
-             max_events: Optional[int] = None) -> float:
-        # Semantics mirror Simulator.run's generic branch exactly
-        # (KEEP IN SYNC with engine.Simulator.run): identical event
-        # sequence, clock behaviour and counter updates — plus the
-        # per-shape counting.
-        sim = self.sim
-        if sim._running:
-            raise SimulationError("run() called re-entrantly")
-        sim._running = True
-        sim._stopped = False
-        heap = sim._heap
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        timer_class = Timer
-        d_handle = self.dispatch_handle
-        d_timer = self.dispatch_timer
-        d_fast = self.dispatch_fast
-        drop_handle = self.drops_handle
-        drop_timer = self.drops_timer
-        budget = max_events if max_events is not None else math.inf
-        try:
-            while heap and not sim._stopped and budget > 0:
-                entry = heappop(heap)
-                time = entry[0]
-                if until is not None and time > until:
-                    heappush(heap, entry)
-                    break
-                event = entry[2]
-                if event is None:
-                    callback = entry[3]
-                    args = entry[4]
-                    d_fast.value += 1
-                elif event.__class__ is timer_class:
-                    if event._version != entry[3] or not event._armed:
-                        drop_timer.value += 1
-                        continue  # superseded/cancelled: lazy drop
-                    event._armed = False
-                    callback = event._callback
-                    args = ()
-                    d_timer.value += 1
-                else:
-                    if event._cancelled:
-                        drop_handle.value += 1
-                        continue
-                    event._fired = True
-                    callback = event.callback
-                    args = event.args
-                    d_handle.value += 1
-                sim._now = time
-                sim._events_executed += 1
-                budget -= 1
-                callback(*args)
-            if until is not None and not sim._stopped and sim._now < until:
-                sim._now = until
-        finally:
-            sim._running = False
-        return sim._now
+__all__ = ["MediumProbe", "MacFleetProbe", "RadioFleetProbe",
+           "record_fault_spans", "Telemetry"]
 
 
 def _install_kernel_sampling(sim: Simulator,
@@ -336,10 +232,6 @@ class Telemetry:
     registry, one sim-time sampler, one span log and one frame tracker;
     :meth:`finish` takes the final edge sample, closes still-open frame
     spans and (optionally) folds a fault log into downtime spans.
-
-    ``dispatch=True`` additionally swaps in the instrumented kernel run
-    loop — the one probe with measurable enabled-path cost, so it is a
-    separate opt-in.
     """
 
     def __init__(self, sim: Simulator, enabled: bool = True,
@@ -354,20 +246,16 @@ class Telemetry:
                                        interval=sample_interval)
         self.spans = SpanLog(capacity=span_capacity, enabled=enabled)
         self.frames = FrameSpanTracker(self.spans)
-        self._dispatch_probe: Optional[KernelDispatchProbe] = None
         self._medium_probes: List[MediumProbe] = []
         self._fault_logs: List[Any] = []
         self._finished = False
 
     # --- wiring ------------------------------------------------------------
 
-    def instrument_kernel(self, dispatch: bool = False) -> "Telemetry":
+    def instrument_kernel(self) -> "Telemetry":
         if not self.enabled:
             return self
         _install_kernel_sampling(self.sim, self.sampler)
-        if dispatch:
-            self._dispatch_probe = KernelDispatchProbe(
-                self.sim, self.registry).install()
         return self
 
     def instrument_medium(self, medium: Any) -> "Telemetry":
@@ -421,8 +309,6 @@ class Telemetry:
             record_fault_spans(fault_log, self.spans, horizon=now)
         for probe in self._medium_probes:
             probe.uninstall()
-        if self._dispatch_probe is not None:
-            self._dispatch_probe.uninstall()
         return self
 
     # --- export conveniences ------------------------------------------------

@@ -5,7 +5,12 @@ import math
 import pytest
 
 from repro.core import SchedulingError, SimulationError, Simulator
-from repro.core.engine import PeriodicTask
+from repro.core.engine import PeriodicTask, ckernel_available
+from repro.faults import InvariantChecker
+
+needs_c = pytest.mark.skipif(not ckernel_available(),
+                             reason="compiled kernel not built")
+BOTH_KERNELS = ["python", pytest.param("c", marks=needs_c)]
 
 
 class TestScheduling:
@@ -247,6 +252,83 @@ class TestPendingCounter:
         assert sim.pending_events == 1
         sim.run()
         assert fired == ["early", "late"]
+
+
+class TestBudgetedRunClock:
+    """A spent ``max_events`` budget must not snap the clock past events
+    that are still queued before ``until``."""
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_spent_budget_leaves_clock_at_last_event(self, kernel):
+        sim = Simulator(kernel=kernel)
+        fired = []
+        for time in (1.0, 2.0, 3.0):
+            sim.schedule_at(time, lambda: fired.append(sim.now))
+        assert sim.run(until=10.0, max_events=1) == 1.0
+        sim.schedule_at(5.0, lambda: fired.append(sim.now))  # not the past
+        assert sim.run() == 5.0
+        assert fired == [1.0, 2.0, 3.0, 5.0]  # the clock never ran back
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_budget_spent_with_nothing_before_until_still_snaps(self, kernel):
+        sim = Simulator(kernel=kernel)
+        for time in (1.0, 2.0, 20.0):
+            sim.schedule_at(time, lambda: None)
+        assert sim.run(until=10.0, max_events=2) == 10.0  # head is 20.0
+        assert sim.run(until=30.0, max_events=1) == 30.0  # heap drained
+
+
+#: Every until/max_events combination: the run loop has one counter rule.
+RUN_MODES = [{}, {"until": 10.0}, {"max_events": 3},
+             {"until": 10.0, "max_events": 3}]
+
+
+def counter_rule_run(run_kwargs, exit_by):
+    """Run with observers reading ``events_executed`` mid-run; return
+    (mid-run readings, callbacks fired, counter after exit)."""
+    sim = Simulator(kernel="python")
+    sim.schedule_at(0.5, lambda: None)
+    sim.run()  # the counter enters the run under test at 1, not 0
+    readings, fired = [], []
+
+    def observe():
+        fired.append(sim.now)
+        readings.append(sim.events_executed)
+
+    def halt():
+        fired.append(sim.now)
+        sim.stop()
+
+    def boom():
+        fired.append(sim.now)
+        raise ValueError("boom")
+
+    for time in (1.0, 2.0, 3.0, 4.0):
+        sim.schedule_at(time, observe)
+    if exit_by == "stop":
+        sim.schedule_at(2.5, halt)
+    elif exit_by == "raise":
+        sim.schedule_at(2.5, boom)
+    if exit_by == "raise":
+        with pytest.raises(ValueError, match="boom"):
+            sim.run(**run_kwargs)
+    else:
+        sim.run(**run_kwargs)
+    assert not sim._running
+    InvariantChecker(sim, strict=True).check_counter_parity()
+    return readings, fired, sim.events_executed
+
+
+class TestExecutedCounterRule:
+    @pytest.mark.parametrize("exit_by", ["clean", "stop", "raise"])
+    @pytest.mark.parametrize("run_kwargs", RUN_MODES, ids=str)
+    def test_midrun_reads_entry_value_and_exit_is_exact(self, run_kwargs,
+                                                        exit_by):
+        readings, fired, executed = counter_rule_run(run_kwargs, exit_by)
+        assert readings and set(readings) == {1}
+        assert executed == 1 + len(fired)
+        if "max_events" in run_kwargs and exit_by == "clean":
+            assert len(fired) == run_kwargs["max_events"]
 
 
 class TestDeterminism:

@@ -6,9 +6,9 @@ and counter writes, identical exception/stop behaviour.  The golden
 captures prove that on the 14 macros; this harness probes the corners
 macros never hit — randomized interleavings of ``schedule`` /
 ``schedule_fast`` / ``Timer`` re-anchor / cancel, nested scheduling
-from inside callbacks, mid-run ``stop()``, every run-loop branch
-(until-only, budget-only, both, drain) — and requires the two kernels
-to produce byte-equal fingerprints.
+from inside callbacks, mid-run ``stop()``, every ``until`` /
+``max_events`` combination (until-only, budget-only, both, drain) —
+and requires the two kernels to produce byte-equal fingerprints.
 
 The whole module skips when the extension is not built (parity needs
 both kernels); CI's compiled-kernel lane builds it first.
@@ -32,10 +32,11 @@ def _drive(kernel: str, seed: int):
     """Run one randomized mixed workload on ``kernel``; return its
     full observable fingerprint.
 
-    Every callback logs the repr-exact clock AND the live executed
-    counter — the latter pins the until-only fast branch's documented
-    stale-counter semantics (the local is flushed at exit), which the
-    compiled kernel must reproduce exactly for telemetry byte-identity.
+    Every callback logs the repr-exact clock AND the executed counter —
+    the latter pins the documented counter rule (a local flushed at
+    exit, so mid-run reads return the figure from when ``run`` was
+    entered), which the compiled kernel must reproduce exactly for
+    telemetry byte-identity.
     """
     rng = random.Random(seed)
     trace = TraceLog(capacity=None, enabled=True)
@@ -78,8 +79,8 @@ def _drive(kernel: str, seed: int):
     for victim in rng.sample(handles, len(handles) // 5):
         victim.cancel()
 
-    # One segment per run-loop branch: until-only (the stale-counter
-    # fast path), budget-only, both, then drain.
+    # One segment per until/max_events combination: until-only,
+    # budget-only, both, then drain.
     marks = [sim.run(until=0.15),
              sim.run(max_events=25),
              sim.run(until=0.45, max_events=10_000),
@@ -140,19 +141,31 @@ def test_same_time_ties_pop_in_seq_order_on_both_kernels():
     assert run("c") == expected
 
 
-def test_midrun_exception_leaves_identical_state():
+#: Every until/max_events combination: both kernels share one counter
+#: rule (a local flushed at exit) and one clock-snap rule.
+RUN_MODES = [{"until": 1.0}, {"max_events": 2},
+             {"until": 1.0, "max_events": 2}, {"until": 0.25, "max_events": 2}]
+
+
+@pytest.mark.parametrize("run_kwargs", RUN_MODES, ids=str)
+def test_midrun_exception_leaves_identical_state(run_kwargs):
     def run(kernel):
         sim = Simulator(kernel=kernel)
+        sim.schedule_fast(0.05, lambda: None)
+        sim.run()   # the run under test enters with the counter at 1
         log = []
+
+        def record(tag):
+            log.append((tag, sim.events_executed))
 
         def boom():
             raise ValueError("boom")
 
-        sim.schedule(0.1, log.append, "a")
+        sim.schedule(0.1, record, "a")
         sim.schedule_fast(0.2, boom)
-        sim.schedule(0.3, log.append, "c")
+        sim.schedule(0.3, record, "c")
         with pytest.raises(ValueError, match="boom"):
-            sim.run(until=1.0)   # the executed-in-a-local fast branch
+            sim.run(**run_kwargs)
         # The finally block must flush counters and clear _running even
         # on the exception path; the survivor event is still live.
         assert not sim._running
@@ -161,24 +174,37 @@ def test_midrun_exception_leaves_identical_state():
 
     assert run("python") == run("c")
     log, now, executed, pending = run("c")
-    assert log == ["a"] and executed == 2 and pending == 1
+    assert log == [("a", 1)] and executed == 3 and pending == 1
 
 
-def test_stop_from_callback_parity():
+@pytest.mark.parametrize("run_kwargs", RUN_MODES, ids=str)
+def test_stop_from_callback_parity(run_kwargs):
     def run(kernel):
         sim = Simulator(kernel=kernel)
         log = []
-        sim.schedule(0.1, log.append, "a")
+
+        def record(tag):
+            log.append((tag, sim.events_executed))
+
+        sim.schedule(0.1, record, "a")
         sim.schedule(0.2, sim.stop)
-        sim.schedule(0.3, log.append, "never")
-        first = sim.run(until=1.0)
-        second = sim.run(until=1.0)   # resumes past the stop
-        return log, repr(first), repr(second), sim._events_executed
+        sim.schedule(0.3, record, "b")
+        sim.schedule(0.4, record, "c")
+        first = sim.run(**run_kwargs)
+        after_first = sim._events_executed
+        second = sim.run(**run_kwargs)   # resumes past the stop
+        return (log, repr(first), after_first, repr(second),
+                sim._events_executed)
 
     assert run("python") == run("c")
-    log, first, second, executed = run("c")
-    assert log == ["a", "never"]
-    assert (first, second) == ("0.2", "1.0")
+    log, first, after_first, second, _executed = run("c")
+    assert first == "0.2" and after_first == 2   # "a", then the stop
+    if run_kwargs == {"until": 1.0}:
+        assert [tag for tag, _count in log] == ["a", "b", "c"]
+        assert second == "1.0"
+    # Mid-run reads return the counter from when each run was entered.
+    assert log[0] == ("a", 0)
+    assert all(count == after_first for _tag, count in log[1:])
 
 
 def test_exotic_until_comparison_parity():

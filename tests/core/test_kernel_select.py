@@ -1,6 +1,6 @@
 """Kernel selection semantics: ``Simulator(kernel=...)``, the
-``REPRO_KERNEL`` environment override, the strict explicit-``"c"``
-contract, ``pin_python_kernel``, and the telemetry-probe bypass."""
+``REPRO_KERNEL`` environment override and the strict explicit-``"c"``
+contract."""
 
 import pytest
 
@@ -65,42 +65,6 @@ class TestEnvOverride:
         monkeypatch.setenv("REPRO_KERNEL", "fast")
         with pytest.raises(SimulationError, match="unknown kernel"):
             Simulator()
-
-
-class TestPinPythonKernel:
-    def test_pin_is_idempotent_on_python_kernel(self):
-        sim = Simulator(kernel="python")
-        sim.pin_python_kernel()
-        assert sim.kernel == "python"
-        sim.schedule(0.5, lambda: None)
-        assert sim.run() == 0.5
-
-    @needs_c
-    def test_pin_downgrades_a_c_simulator(self):
-        sim = Simulator(kernel="c")
-        sim.pin_python_kernel()
-        assert sim.kernel == "python"
-        assert sim._ckernel_run is None
-        sim.schedule(0.5, lambda: None)
-        assert sim.run() == 0.5
-
-    @needs_c
-    def test_dispatch_probe_shadows_past_the_c_kernel(self):
-        # Telemetry's instrumented dispatch loop is an instance-attribute
-        # shadow of ``run``; callers reach it before the class method's
-        # C dispatch, so arming it needs no kernel flag at all.
-        from repro.telemetry import MetricsRegistry, KernelDispatchProbe
-        sim = Simulator(kernel="c")
-        probe = KernelDispatchProbe(
-            sim, MetricsRegistry(enabled=True)).install()
-        sim.schedule(0.25, lambda: None)
-        sim.schedule_fast(0.5, lambda: None)
-        sim.run()
-        assert "run" in vars(sim)          # the shadow is in place
-        assert probe.dispatch_handle.value == 1
-        assert probe.dispatch_fast.value == 1
-        probe.uninstall()
-        assert "run" not in vars(sim)      # class method resurfaces
 
 
 @needs_c

@@ -1,9 +1,9 @@
-"""Probe layer: the instrumented kernel loop, the medium transmit wrap,
+"""Probe layer: the medium transmit wrap,
 fleet gauges, downtime spans, and the Telemetry hub's null path."""
 
 import pytest
 
-from repro.core.engine import Simulator, Timer
+from repro.core.engine import Simulator
 from repro.core.topology import Position
 from repro.core.trace import TraceLog
 from repro.faults import FaultLog
@@ -15,9 +15,7 @@ from repro.phy.channel import Medium
 from repro.phy.propagation import FixedLoss
 from repro.phy.standards import DOT11B
 from repro.phy.transceiver import Radio
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.probes import (KernelDispatchProbe, Telemetry,
-                                    record_fault_spans)
+from repro.telemetry.probes import Telemetry, record_fault_spans
 from repro.telemetry.spans import SpanLog
 
 
@@ -48,47 +46,6 @@ def _saturated_pair(seed=7, telemetry=True, interval=0.01):
         for _ in range(3):
             mac.send(receiver.address, payload)
     return sim, medium, macs, hub
-
-
-class TestKernelDispatchProbe:
-    def test_counts_by_entry_shape_with_identical_outcome(self):
-        def _run(instrumented):
-            sim = Simulator(seed=3)
-            probe = None
-            if instrumented:
-                probe = KernelDispatchProbe(sim, MetricsRegistry())
-                probe.install()
-            fired = []
-            sim.schedule_fast_at(0.1, lambda: fired.append("fast"))
-            handle = sim.schedule_at(0.3, lambda: fired.append("cancelled"))
-            handle.cancel()
-            timer = Timer(sim, lambda: fired.append("timer"))
-            timer.schedule_at(0.2)
-            timer.schedule_at(0.25)  # supersede: one lazy timer drop
-            sim.run(until=1.0)
-            return sim, probe, fired
-
-        plain_sim, _none, plain_fired = _run(instrumented=False)
-        sim, probe, fired = _run(instrumented=True)
-        assert fired == plain_fired == ["fast", "timer"]
-        assert sim._now == plain_sim._now
-        assert sim._events_executed == plain_sim._events_executed
-        assert probe.dispatch_fast.value == 1
-        assert probe.dispatch_timer.value == 1
-        assert probe.drops_timer.value == 1
-        assert probe.drops_handle.value == 1
-
-    def test_uninstall_restores_class_method(self):
-        sim = Simulator(seed=3)
-        probe = KernelDispatchProbe(sim, MetricsRegistry()).install()
-        assert "run" in sim.__dict__
-        probe.uninstall()
-        assert "run" not in sim.__dict__
-
-    def test_disabled_registry_never_installs(self):
-        sim = Simulator(seed=3)
-        KernelDispatchProbe(sim, MetricsRegistry(enabled=False)).install()
-        assert "run" not in sim.__dict__
 
 
 class TestInstrumentedRun:
