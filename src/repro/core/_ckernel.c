@@ -1,14 +1,14 @@
 /* Compiled event-kernel inner loop for repro.core.engine.
  *
  * This module is the C twin of ``Simulator.run``: the tuple-heap
- * pop/push, the three-shape dispatch (raw ``schedule_fast`` entries,
- * version-checked ``Timer`` entries, ``EventHandle`` entries), and the
- * O(1) scheduled/executed/cancelled counter bookkeeping — nothing
- * else.  All simulation state stays where the pure-Python kernel keeps
- * it (``sim._heap`` is the same Python list the schedulers push into,
- * the counters are the same Python ints telemetry samples), so the two
- * kernels are interchangeable mid-suite and the pure-Python loop
- * remains the reference implementation.
+ * pop/push, the two-shape dispatch (raw ``schedule_fast`` entries and
+ * version-checked ``Timer`` entries, ``EventHandle`` being a one-shot
+ * Timer), and the O(1) scheduled/executed/cancelled counter
+ * bookkeeping — nothing else.  All simulation state stays where the
+ * pure-Python kernel keeps it (``sim._heap`` is the same Python list
+ * the schedulers push into, the counters are the same Python ints
+ * telemetry samples), so the two kernels are interchangeable mid-suite
+ * and the pure-Python loop remains the reference implementation.
  *
  * Bit-identity contract (KEEP IN SYNC with engine.Simulator.run):
  *
@@ -23,7 +23,10 @@
  *   callback), so a mid-run callback reads the figure from when ``run``
  *   was entered — telemetry's sampled ``kernel/events_executed`` series
  *   byte-compares across kernels because of this, not despite it.
- * - Lazy drops (cancelled handles, superseded timer versions) touch no
+ * - A timer entry fires only while the timer is armed and still
+ *   carries the entry's version; anything else at element 2 that is
+ *   not ``None`` or a Timer raises AttributeError, as the Python loop
+ *   does.  Lazy drops (cancelled or superseded timer entries) touch no
  *   counters; the clock is written before the callback fires; on a
  *   non-stopped exit the clock snaps to ``until`` only when the heap is
  *   empty or its head lies past ``until`` (a spent budget with earlier
@@ -52,16 +55,14 @@
 /* --- module state (installed once from repro.core.engine) ------------- */
 
 static PyTypeObject *timer_type = NULL;
-static PyTypeObject *handle_type = NULL;
 static PyObject *simulation_error = NULL;
 
 /* Interned attribute keys for the Simulator instance dict. */
 static PyObject *s_now, *s_stopped, *s_running, *s_events_executed, *s_heap;
 
-/* Slot offsets for Timer / EventHandle (__slots__ storage). */
-static Py_ssize_t off_t_version = -1, off_t_armed = -1, off_t_callback = -1;
-static Py_ssize_t off_h_cancelled = -1, off_h_fired = -1;
-static Py_ssize_t off_h_callback = -1, off_h_args = -1;
+/* Slot offsets for Timer (__slots__ storage, shared by subclasses). */
+static Py_ssize_t off_t_version = -1, off_t_armed = -1;
+static Py_ssize_t off_t_callback = -1, off_t_args = -1;
 
 #define SLOT(obj, off) (*(PyObject **)((char *)(obj) + (off)))
 
@@ -435,7 +436,6 @@ ck_run(PyObject *module, PyObject *args)
 #endif
     for (;;) {
         PyObject *entry, *time_obj, *ev, *callback, *cargs, *res;
-        int owns_cargs;
 
         if (PyList_GET_SIZE(heap) == 0)
             break;
@@ -507,13 +507,11 @@ ck_run(PyObject *module, PyObject *args)
                 goto error;
             }
             callback = PyTuple_GET_ITEM(entry, 3);
-            Py_INCREF(callback);
             cargs = PyTuple_GET_ITEM(entry, 4);
-            Py_INCREF(cargs);
-            owns_cargs = 1;
         }
-        else if (Py_TYPE(ev) == timer_type) {
-            /* (time, seq, timer, version): version-checked Timer. */
+        else if (PyObject_TypeCheck(ev, timer_type)) {
+            /* (time, seq, timer, version): version-checked Timer
+             * (an EventHandle is a Timer armed once, with args). */
             PyObject *version, *live_version, *armed;
             if (PyTuple_GET_SIZE(entry) < 4) {
                 Py_DECREF(entry);
@@ -548,84 +546,25 @@ ck_run(PyObject *module, PyObject *args)
             }
             slot_set(ev, off_t_armed, Py_False);
             callback = slot_get(ev, off_t_callback, "_callback");
-            if (callback == NULL) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            Py_INCREF(callback);
-            cargs = NULL;  /* no-arg call */
-            owns_cargs = 0;
-        }
-        else if (Py_TYPE(ev) == handle_type) {
-            /* (time, seq, handle): cancellable EventHandle. */
-            PyObject *cancelled = slot_get(ev, off_h_cancelled, "_cancelled");
-            if (cancelled == NULL) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            int is_cancelled = flag_is_true(cancelled);
-            if (is_cancelled < 0) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            if (is_cancelled) {
-                Py_DECREF(entry);
-                continue;  /* lazy drop */
-            }
-            slot_set(ev, off_h_fired, Py_True);
-            callback = slot_get(ev, off_h_callback, "callback");
-            if (callback == NULL) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            Py_INCREF(callback);
-            cargs = slot_get(ev, off_h_args, "args");
+            cargs = callback == NULL ? NULL
+                : slot_get(ev, off_t_args, "_args");
             if (cargs == NULL) {
-                Py_DECREF(callback);
                 Py_DECREF(entry);
                 goto error;
             }
-            Py_INCREF(cargs);
-            owns_cargs = 1;
         }
         else {
-            /* Exotic handle-like object: mirror the Python loop's
-             * attribute protocol exactly (used by nothing in-tree, but
-             * duck-typed handles must behave identically). */
-            PyObject *cancelled = PyObject_GetAttrString(ev, "_cancelled");
-            if (cancelled == NULL) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            int is_cancelled = PyObject_IsTrue(cancelled);
-            Py_DECREF(cancelled);
-            if (is_cancelled < 0) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            if (is_cancelled) {
-                Py_DECREF(entry);
-                continue;
-            }
-            if (PyObject_SetAttrString(ev, "_fired", Py_True) < 0) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            callback = PyObject_GetAttrString(ev, "callback");
-            if (callback == NULL) {
-                Py_DECREF(entry);
-                goto error;
-            }
-            cargs = PyObject_GetAttrString(ev, "args");
-            if (cargs == NULL) {
-                Py_DECREF(callback);
-                Py_DECREF(entry);
-                goto error;
-            }
-            owns_cargs = 1;
+            /* The Python loop reads ``event._version`` here. */
+            PyErr_Format(PyExc_AttributeError,
+                         "'%.100s' object has no attribute '_version'",
+                         Py_TYPE(ev)->tp_name);
+            Py_DECREF(entry);
+            goto error;
         }
+        Py_INCREF(callback);
+        Py_INCREF(cargs);
 
-        if (owns_cargs && !PyTuple_Check(cargs)) {
+        if (!PyTuple_Check(cargs)) {
             /* callback(*args) accepts any iterable; normalize. */
             PyObject *as_tuple = PySequence_Tuple(cargs);
             Py_DECREF(cargs);
@@ -640,7 +579,7 @@ ck_run(PyObject *module, PyObject *args)
         /* Advance the clock, count, fire. */
         if (PyDict_SetItem(*dictptr, s_now, time_obj) < 0) {
             Py_DECREF(callback);
-            Py_XDECREF(cargs);
+            Py_DECREF(cargs);
             Py_DECREF(entry);
             goto error;
         }
@@ -654,12 +593,12 @@ ck_run(PyObject *module, PyObject *args)
         dict_ver = ((PyDictObject *)*dictptr)->ma_version_tag;
 #endif
 
-        if (cargs == NULL)
+        if (PyTuple_GET_SIZE(cargs) == 0)
             res = PyObject_CallNoArgs(callback);
         else
             res = PyObject_Call(callback, cargs, NULL);
         Py_DECREF(callback);
-        Py_XDECREF(cargs);
+        Py_DECREF(cargs);
         Py_DECREF(entry);
         if (res == NULL)
             goto error;
@@ -792,13 +731,12 @@ resolve_slot(PyObject *type, const char *name)
 static PyObject *
 ck_install(PyObject *module, PyObject *args)
 {
-    PyObject *timer, *handle, *error;
+    PyObject *timer, *error;
 
-    if (!PyArg_ParseTuple(args, "OOO:install", &timer, &handle, &error))
+    if (!PyArg_ParseTuple(args, "OO:install", &timer, &error))
         return NULL;
-    if (!PyType_Check(timer) || !PyType_Check(handle)) {
-        PyErr_SetString(PyExc_TypeError,
-                        "install(Timer, EventHandle, SimulationError)");
+    if (!PyType_Check(timer)) {
+        PyErr_SetString(PyExc_TypeError, "install(Timer, SimulationError)");
         return NULL;
     }
     if ((off_t_version = resolve_slot(timer, "_version")) < 0)
@@ -807,19 +745,11 @@ ck_install(PyObject *module, PyObject *args)
         return NULL;
     if ((off_t_callback = resolve_slot(timer, "_callback")) < 0)
         return NULL;
-    if ((off_h_cancelled = resolve_slot(handle, "_cancelled")) < 0)
-        return NULL;
-    if ((off_h_fired = resolve_slot(handle, "_fired")) < 0)
-        return NULL;
-    if ((off_h_callback = resolve_slot(handle, "callback")) < 0)
-        return NULL;
-    if ((off_h_args = resolve_slot(handle, "args")) < 0)
+    if ((off_t_args = resolve_slot(timer, "_args")) < 0)
         return NULL;
 
     Py_INCREF(timer);
     Py_XSETREF(timer_type, (PyTypeObject *)timer);
-    Py_INCREF(handle);
-    Py_XSETREF(handle_type, (PyTypeObject *)handle);
     Py_INCREF(error);
     Py_XSETREF(simulation_error, error);
     Py_RETURN_NONE;
@@ -829,9 +759,9 @@ ck_install(PyObject *module, PyObject *args)
 
 static PyMethodDef ck_methods[] = {
     {"install", ck_install, METH_VARARGS,
-     "install(Timer, EventHandle, SimulationError): bind the engine's\n"
-     "event classes (resolves their __slots__ offsets). Must be called\n"
-     "before run()."},
+     "install(Timer, SimulationError): bind the engine's Timer class\n"
+     "(resolves its __slots__ offsets; EventHandle and other subclasses\n"
+     "share them) and error type. Must be called before run()."},
     {"run", ck_run, METH_VARARGS,
      "run(sim, until=None, max_events=None) -> float\n"
      "Compiled twin of Simulator.run(); byte-identical event sequence."},

@@ -14,24 +14,25 @@ Protocol code in this library is written in *callback style*: components
 schedule plain callables.  That keeps the kernel tiny, easy to reason
 about, and fast enough to run thousands of stations on a laptop.
 
-Hot-path notes: the heap stores tuples rather than bare handles so
-ordering uses C-level tuple comparison instead of
-``EventHandle.__lt__`` (the single biggest cost in large runs);
+Hot-path notes: the heap stores tuples rather than bare event objects,
+so ordering uses C-level tuple comparison instead of a Python
+``__lt__`` (the single biggest cost in large runs);
 :attr:`Simulator.pending_events` is a counter maintained by
 ``schedule``/``cancel``/``run`` instead of an O(N) heap scan; and
 fire-and-forget callers (the medium's per-receiver arrival fan-out —
 the most-scheduled events in any run) can use
-:meth:`Simulator.schedule_fast_at` to skip the
-:class:`EventHandle` allocation entirely.  Components that arm and
-re-arm the *same* deadline over and over (DIFS waits, the batched
-backoff countdown, the NAV, reception completion) use a reusable
-:class:`Timer`, which replaces the per-arm :class:`EventHandle`
-allocation with a version check on a pre-allocated object.
+:meth:`Simulator.schedule_fast_at` to skip the event-object allocation
+entirely.  Every cancellable event is a :class:`Timer`: components that
+arm and re-arm the *same* deadline over and over (DIFS waits, the
+batched backoff countdown, the NAV, reception completion) reuse one,
+and :meth:`Simulator.schedule` returns an :class:`EventHandle`, a Timer
+armed exactly once with the callback's arguments.
 
-Heap entries are therefore one of three shapes — ``(time, seq,
-handle)``, ``(time, seq, timer, version)`` or ``(time, seq, None,
-callback, args)`` — and ties never compare past ``seq``, which is
-unique, so entries of different shapes never compare element 2.
+Heap entries are therefore one of two shapes — ``(time, seq, timer,
+version)`` or ``(time, seq, None, callback, args)`` — and ties never
+compare past ``seq``, which is unique, so entries of different shapes
+never compare element 2.  A timer entry is live while the timer is
+armed and still carries that version.
 
 This module is the only Python code that pushes timer entries, bumps
 timer versions or counts cancellations; components call
@@ -86,7 +87,7 @@ def _load_ckernel() -> Optional[Any]:
     except ImportError:
         return None
     try:
-        ext.install(Timer, EventHandle, SimulationError)
+        ext.install(Timer, SimulationError)
     except Exception:
         # A built-but-incompatible extension (stale ABI, renamed slots)
         # must degrade to the reference loop, not poison every run.
@@ -132,54 +133,6 @@ def resolve_kernel(requested: Optional[str] = None) -> str:
     return "python"
 
 
-class EventHandle:
-    """A scheduled event that can be cancelled before it fires."""
-
-    __slots__ = ("time", "seq", "callback", "args", "_cancelled", "_fired",
-                 "_sim")
-
-    def __init__(self, time: float, seq: int,
-                 callback: Callable[..., None], args: Tuple[Any, ...],
-                 sim: Optional["Simulator"] = None):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
-        self._cancelled = False
-        self._fired = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing; safe to call multiple times."""
-        if not self._cancelled and not self._fired:
-            self._cancelled = True
-            sim = self._sim
-            if sim is not None:
-                sim._cancelled_events += 1
-        # Drop references so cancelled events don't pin objects alive
-        # while they sit in the heap awaiting lazy deletion.
-        self.callback = _noop
-        self.args = ()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    @property
-    def pending(self) -> bool:
-        return not self._cancelled and not self._fired
-
-    def __lt__(self, other: "EventHandle") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = ("cancelled" if self._cancelled
-                 else "fired" if self._fired else "pending")
-        return f"<EventHandle t={self.time:.9f} seq={self.seq} {state}>"
-
-
 def _noop(*_args: Any) -> None:
     return None
 
@@ -187,25 +140,26 @@ def _noop(*_args: Any) -> None:
 class Timer:
     """A reusable, re-anchorable one-shot timer.
 
-    Unlike :meth:`Simulator.schedule`, arming a :class:`Timer` allocates
-    no :class:`EventHandle` — the timer object itself rides in the heap
-    entry together with a version number.  Re-arming or cancelling bumps
-    the version; superseded entries left in the heap are dropped by the
-    run loop when they surface, exactly like a cancelled handle (they do
-    not count as executed events).  This makes ``cancel + reschedule``
-    the cheap operation the DCF's contention machinery needs: a DIFS
-    wait, the batched backoff countdown and the NAV each re-anchor on
-    every CCA edge.
+    Arming a :class:`Timer` allocates nothing — the timer object itself
+    rides in the heap entry together with a version number.  Re-arming
+    bumps the version; superseded or cancelled entries left in the heap
+    are dropped by the run loop when they surface (they do not count as
+    executed events).  This makes ``cancel + reschedule`` the cheap
+    operation the DCF's contention machinery needs: a DIFS wait, the
+    batched backoff countdown and the NAV each re-anchor on every CCA
+    edge.
 
     At most one deadline is live at a time; the callback is fixed at
     construction and fires with no arguments.
     """
 
-    __slots__ = ("_sim", "_callback", "_version", "_armed", "_time")
+    __slots__ = ("_sim", "_callback", "_args", "_version", "_armed",
+                 "_time")
 
     def __init__(self, sim: "Simulator", callback: Callable[[], None]):
         self._sim = sim
         self._callback = callback
+        self._args: Tuple[Any, ...] = ()
         self._version = 0
         self._armed = False
         self._time = 0.0
@@ -247,6 +201,55 @@ class Timer:
         if self._armed:
             self._armed = False
             self._sim._cancelled_events += 1
+
+
+class EventHandle(Timer):
+    """A scheduled event that can be cancelled before it fires.
+
+    Returned by :meth:`Simulator.schedule`: a :class:`Timer` armed once,
+    at construction, with the callback's arguments.  Its heap entry is
+    the timer shape with version 1, so the run loop treats it exactly
+    like any other timer.
+    """
+
+    __slots__ = ("_cancelled",)
+
+    def __init__(self, sim: "Simulator", time: float,
+                 callback: Callable[..., None], args: Tuple[Any, ...]):
+        # Sets the slots directly rather than through Timer.__init__,
+        # which a tracer may wrap to rename timer callbacks; schedule()
+        # callbacks must pass through such a wrapper only once.
+        self._sim = sim
+        self._callback = callback
+        self._args = args
+        self._version = 1
+        self._armed = True
+        self._time = time
+        self._cancelled = False
+
+    def cancel(self) -> None:
+        """Prevent the event from firing; safe to call multiple times."""
+        if self._armed:
+            self._armed = False
+            self._cancelled = True
+            self._sim._cancelled_events += 1
+        # Drop references so cancelled events don't pin objects alive
+        # while they sit in the heap awaiting lazy deletion.
+        self._callback = _noop
+        self._args = ()
+
+    @property
+    def cancelled(self) -> bool:
+        return self._cancelled
+
+    @property
+    def pending(self) -> bool:
+        return self._armed
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = ("pending" if self._armed
+                 else "cancelled" if self._cancelled else "fired")
+        return f"<EventHandle t={self._time:.9f} {state}>"
 
 
 class Simulator:
@@ -356,10 +359,9 @@ class Simulator:
         # covers the negative, NaN and infinity rejections.
         if 0.0 <= delay < _INF:
             time = self._now + delay
-            seq = self._next_seq()
-            event = EventHandle(time, seq, callback, args, self)
+            event = EventHandle(self, time, callback, args)
             self._scheduled += 1
-            _heappush(self._heap, (time, seq, event))
+            _heappush(self._heap, (time, self._next_seq(), event, 1))
             return event
         if delay < 0:
             raise SchedulingError(
@@ -370,10 +372,9 @@ class Simulator:
                     *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute time ``time``."""
         if self._now <= time < _INF:
-            seq = self._next_seq()
-            event = EventHandle(time, seq, callback, args, self)
+            event = EventHandle(self, time, callback, args)
             self._scheduled += 1
-            _heappush(self._heap, (time, seq, event))
+            _heappush(self._heap, (time, self._next_seq(), event, 1))
             return event
         if time < self._now:
             raise SchedulingError(
@@ -448,7 +449,6 @@ class Simulator:
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
-        timer_class = Timer
         horizon = _INF if until is None else until
         executed = self._events_executed
         # The budget is a bound on the counter itself, so the per-event
@@ -465,22 +465,14 @@ class Simulator:
                 if event is None:
                     callback = entry[3]
                     args = entry[4]
-                elif event.__class__ is timer_class:
-                    # Timer entry: (time, seq, timer, version).  Checked
-                    # before the handle shape — re-anchoring timers
-                    # outnumber EventHandles in contention-heavy runs,
-                    # so the common case pays one class test, not two.
+                else:
+                    # Timer entry (EventHandles included): (time, seq,
+                    # timer, version).
                     if event._version != entry[3] or not event._armed:
                         continue  # superseded/cancelled: lazy drop
                     event._armed = False
                     callback = event._callback
-                    args = ()
-                else:
-                    if event._cancelled:
-                        continue
-                    event._fired = True
-                    callback = event.callback
-                    args = event.args
+                    args = event._args
                 self._now = time
                 executed += 1
                 callback(*args)
@@ -525,8 +517,9 @@ class PeriodicTask:
     def __init__(self, sim: Simulator, period: float,
                  callback: Callable[[], None],
                  offset: Optional[float] = None):
-        if period <= 0:
-            raise SchedulingError(f"period must be positive, got {period}")
+        if not 0.0 < period < _INF:  # also False for NaN
+            raise SchedulingError(
+                f"period must be positive and finite, got {period!r}")
         self._sim = sim
         self._period = period
         self._callback = callback

@@ -220,17 +220,18 @@ class InvariantChecker:
         ``Simulator.pending_events`` is derived bookkeeping
         (``scheduled - executed - cancelled``); the heap is ground
         truth.  A live entry is a fire-and-forget ``schedule_fast``
-        record (always live until popped), a :class:`Timer` entry whose
-        version matches the timer's current armed deadline, or a
-        pending :class:`EventHandle`.  Any disagreement means a kernel
+        record (always live until popped) or a :class:`Timer` entry
+        (:class:`EventHandle` included) whose version matches the
+        timer's current armed deadline.  Any disagreement means a kernel
         implementation (the pure-Python reference or the compiled
         ``repro.core._ckernel``) dropped or double-counted an event —
         exactly the drift a kernel swap could otherwise leak silently.
 
         Only meaningful while no :meth:`Simulator.run` is in flight:
         the run loop batches the executed counter in a local flushed
-        at exit, so mid-run the stored counter is legitimately stale.  Call it after ``run()`` returns (e.g. from a test or a
-        macro epilogue), not from the periodic :meth:`check_now` sweep.
+        at exit, so mid-run the stored counter is legitimately stale.
+        Call it after ``run()`` returns (e.g. from a test or a macro
+        epilogue), not from the periodic :meth:`check_now` sweep.
         """
         self.checks_run += 1
         sim = self.sim
@@ -239,13 +240,10 @@ class InvariantChecker:
             event = entry[2]
             if event is None:
                 live += 1       # fire-and-forget: live until popped
-            elif len(entry) == 4:
-                # Timer entry: live iff it carries the armed deadline's
-                # version; superseded/cancelled versions are lazy trash.
-                if event._armed and event._version == entry[3]:
-                    live += 1
-            elif not event._cancelled and not event._fired:
-                live += 1       # pending EventHandle
+            elif event._armed and event._version == entry[3]:
+                # Timer entry carrying the armed deadline's version;
+                # superseded/cancelled versions are lazy trash.
+                live += 1
         pending = sim.pending_events
         if pending != live:
             self._fail(

@@ -23,9 +23,9 @@ class Nav:
 
     Every overheard reservation extends the NAV and re-anchors the
     expiry, so the timer churns on every overheard frame in a busy
-    cell; it therefore rides on the kernel's reusable
-    :class:`~repro.core.engine.Timer` (re-anchor without a fresh
-    :class:`~repro.core.engine.EventHandle` per update).
+    cell; it therefore rides on one reusable
+    :class:`~repro.core.engine.Timer` (re-anchoring bumps its version
+    instead of allocating a fresh event per update).
     """
 
     __slots__ = ("_sim", "_until", "_on_expire", "_timer")

@@ -260,12 +260,7 @@ class Radio:
         # Transmitting aborts any in-progress reception (half duplex).
         if self._locked is not None:
             self._abort_locked()
-        # state-property setter inlined on the TX/RX hot transitions:
-        # these are always real state changes, so only the upcall check
-        # remains (KEEP IN SYNC with the state setter).
-        self._state = RadioState.TX
-        if self.on_state_change is not None:
-            self.on_state_change(RadioState.TX.value)
+        self.state = RadioState.TX
         self._update_cca()
         duration = self.standard.frame_airtime(size_bits, mode)
         self.medium.transmit(self, payload, size_bits, mode, duration,
@@ -299,9 +294,7 @@ class Radio:
                 f"{self.name}: energy burst needs a positive duration")
         if self._locked is not None:
             self._abort_locked()
-        self._state = RadioState.TX  # state setter inlined (see transmit)
-        if self.on_state_change is not None:
-            self.on_state_change(RadioState.TX.value)
+        self.state = RadioState.TX
         self._update_cca()
         self.medium.transmit_energy(
             self, duration,
@@ -319,9 +312,7 @@ class Radio:
             # this is the stale completion event draining out of the heap
             # (schedule_fast events cannot be cancelled, only outlived).
             return
-        self._state = RadioState.IDLE  # state setter inlined (TX -> IDLE)
-        if self.on_state_change is not None:
-            self.on_state_change(RadioState.IDLE.value)
+        self.state = RadioState.IDLE
         self._update_cca()
         self.on_tx_end()
 

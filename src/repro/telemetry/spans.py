@@ -134,10 +134,11 @@ class FrameSpanTracker:
     bound dispatcher as the MAC's probe and remembers how to detach it.
     Open spans are keyed by MSDU identity (``id(msdu)`` — MSDUs are
     unhashable dataclasses, and an MSDU is in flight at exactly one
-    MAC; a queued/in-flight MSDU is referenced by its MAC, so its id
-    cannot be recycled while its span is open), so enqueue, the
-    transmit attempts, retries and the terminal edge all land on the
-    same span.
+    MAC), so enqueue, the transmit attempts, retries and the terminal
+    edge all land on the same span.  The tracker holds each open
+    span's MSDU: a crashed MAC discards its frames without a terminal
+    edge, and a freed MSDU's id could otherwise be recycled by a later
+    enqueue, silently replacing the still-open span.
 
     Per-span attrs: ``first_tx`` (sim time of the first on-air
     attempt; None if the frame died queued), ``attempts`` (data
@@ -149,7 +150,7 @@ class FrameSpanTracker:
 
     def __init__(self, spans: SpanLog):
         self.spans = spans
-        self._open: Dict[int, Span] = {}
+        self._open: Dict[int, Tuple[Any, Span]] = {}
         self._detach: List[Callable[[], None]] = []
         self.rx_frames: Dict[str, int] = {}
 
@@ -184,12 +185,13 @@ class FrameSpanTracker:
         if not self.spans.wants("frame"):
             return
         if event == FRAME_ENQUEUE:
-            self._open[id(msdu)] = Span("frame", label, now, attrs={
-                "first_tx": None, "attempts": 0, "retries": 0})
+            self._open[id(msdu)] = (msdu, Span("frame", label, now, attrs={
+                "first_tx": None, "attempts": 0, "retries": 0}))
             return
-        span = self._open.get(id(msdu))
-        if span is None:
+        entry = self._open.get(id(msdu))
+        if entry is None:
             return  # enqueued before the tracker attached, or masked
+        span = entry[1]
         if event == FRAME_TX:
             attrs = span.attrs
             if attrs["first_tx"] is None:
@@ -214,7 +216,7 @@ class FrameSpanTracker:
         """
         if not self._open:
             return
-        for msdu, span in self._open.items():
+        for _msdu, span in self._open.values():
             span.end = now
             span.outcome = "open"
             self.spans.record(span)

@@ -1,11 +1,13 @@
 """Tests for the discrete-event kernel."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
 from repro.core import SchedulingError, SimulationError, Simulator
-from repro.core.engine import PeriodicTask, ckernel_available
+from repro.core.engine import PeriodicTask, Timer, ckernel_available
 from repro.faults import InvariantChecker
 
 needs_c = pytest.mark.skipif(not ckernel_available(),
@@ -90,6 +92,125 @@ class TestCancellation:
         drop.cancel()
         assert sim.pending_events == 1
         assert keep.pending
+
+
+class TestEventHandleLifecycle:
+    """An EventHandle is a Timer armed once: the run loop drops or fires
+    its ``(time, seq, handle, 1)`` entry like any timer entry."""
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_pending_then_fired(self, kernel):
+        sim = Simulator(kernel=kernel)
+        fired = []
+        handle = sim.schedule(0.1, fired.append, "x")
+        assert handle.pending and not handle.cancelled
+        assert sim._heap[0][2:] == (handle, 1)
+        sim.run()
+        assert fired == ["x"]
+        assert not handle.pending and not handle.cancelled
+        assert (sim.events_executed, sim._cancelled_events) == (1, 0)
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_pending_then_cancelled(self, kernel):
+        sim = Simulator(kernel=kernel)
+        fired = []
+        handle = sim.schedule_at(0.1, fired.append, "x")
+        handle.cancel()
+        assert not handle.pending and handle.cancelled
+        assert sim.pending_events == 0
+        sim.run()
+        assert fired == []
+        assert (sim.events_executed, sim._cancelled_events) == (0, 1)
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_cancel_after_fire_is_not_counted(self, kernel):
+        sim = Simulator(kernel=kernel)
+        handle = sim.schedule(0.1, lambda: None)
+        sim.run()
+        handle.cancel()
+        assert not handle.cancelled and not handle.pending
+        assert sim._cancelled_events == 0 and sim.pending_events == 0
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_double_cancel_counts_once(self, kernel):
+        sim = Simulator(kernel=kernel)
+        handle = sim.schedule(0.1, lambda: None)
+        handle.cancel()
+        handle.cancel()
+        assert handle.cancelled and sim._cancelled_events == 1
+        sim.run()
+        assert sim.pending_events == 0 and sim.events_executed == 0
+
+    def test_cancel_releases_callback_and_args(self, sim):
+        class Owner:
+            def fire(self, payload):
+                raise AssertionError("cancelled event fired")
+
+        class Payload:
+            pass
+
+        owner, payload = Owner(), Payload()
+        refs = weakref.ref(owner), weakref.ref(payload)
+        handle = sim.schedule(0.1, owner.fire, payload)
+        del owner, payload
+        gc.collect()
+        assert all(ref() is not None for ref in refs)  # the heap holds them
+        handle.cancel()
+        gc.collect()
+        assert all(ref() is None for ref in refs)  # entry still queued
+        assert len(sim._heap) == 1
+        sim.run()
+
+
+def mixed_heap(sim, fired):
+    """Queue every entry shape and liveness state on ``sim``: raw
+    entries, an armed timer, a re-armed timer (one superseded entry),
+    a cancelled timer, live and cancelled handles.  Five stay live."""
+    sim.schedule_fast(0.1, fired.append, "fast")
+    sim.schedule_fast_at(0.6, fired.append, "fast-at")
+    armed = Timer(sim, lambda: fired.append("armed"))
+    armed.schedule(0.2)
+    rearmed = Timer(sim, lambda: fired.append("rearmed"))
+    rearmed.schedule(0.3)
+    rearmed.schedule_at(0.5)   # supersedes the 0.3 entry
+    cancelled = Timer(sim, lambda: fired.append("cancelled-timer"))
+    cancelled.schedule(0.25)
+    cancelled.cancel()
+    sim.schedule(0.4, fired.append, "handle")
+    sim.schedule(0.35, fired.append, "cancelled-handle").cancel()
+    assert len(sim._heap) == 8 and sim.pending_events == 5
+
+
+class TestMixedHeap:
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_runs_only_live_entries(self, kernel):
+        sim = Simulator(kernel=kernel)
+        fired = []
+        mixed_heap(sim, fired)
+        InvariantChecker(sim, strict=True).check_counter_parity()
+        sim.run(until=0.45)
+        InvariantChecker(sim, strict=True).check_counter_parity()
+        sim.run()
+        assert fired == ["fast", "armed", "handle", "rearmed", "fast-at"]
+        assert (sim.events_executed, sim.pending_events) == (5, 0)
+
+    @pytest.mark.parametrize("kernel", BOTH_KERNELS)
+    def test_clear_leaves_nothing_pending(self, kernel):
+        sim = Simulator(kernel=kernel)
+        fired = []
+        mixed_heap(sim, fired)
+        sim.clear()
+        assert sim.pending_events == 0 and sim.heap_depth == 0
+        InvariantChecker(sim, strict=True).check_counter_parity()
+        sim.run()
+        assert fired == [] and sim.pending_events == 0
+
+    def test_counter_parity_flags_a_miscounted_heap(self, sim):
+        mixed_heap(sim, [])
+        sim._cancelled_events += 1   # one live entry miscounted as dropped
+        checker = InvariantChecker(sim, strict=False)
+        checker.check_counter_parity()
+        assert [v.check for v in checker.violations] == ["counter-parity"]
 
 
 class TestRunControl:
@@ -181,8 +302,10 @@ class TestPeriodicTask:
         assert task_box["task"].fired == 1
 
     def test_zero_period_rejected(self, sim):
-        with pytest.raises(SchedulingError):
-            PeriodicTask(sim, 0.0, lambda: None)
+        for period in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(SchedulingError):
+                PeriodicTask(sim, period, lambda: None, offset=0.1)
+        assert sim.pending_events == 0
 
 
 class TestFastScheduling:

@@ -14,7 +14,9 @@ The whole module skips when the extension is not built (parity needs
 both kernels); CI's compiled-kernel lane builds it first.
 """
 
+import heapq
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -205,6 +207,38 @@ def test_stop_from_callback_parity(run_kwargs):
     # Mid-run reads return the counter from when each run was entered.
     assert log[0] == ("a", 0)
     assert all(count == after_first for _tag, count in log[1:])
+
+
+#: Objects that are neither ``None`` nor a Timer at element 2, including
+#: a duck-typed stand-in for the retired three-element handle shape.
+FOREIGN = {
+    "object": lambda log: (object(), 1),
+    "str": lambda log: ("timer", 1),
+    "old-handle": lambda log: (SimpleNamespace(
+        _cancelled=False, _fired=False, callback=log.append,
+        args=("foreign",)),),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(FOREIGN))
+def test_foreign_object_at_element_2_fails_alike(shape):
+    def run(kernel):
+        sim = Simulator(kernel=kernel)
+        log = []
+        sim.schedule(0.1, log.append, "a")
+        sim.schedule_fast(0.3, log.append, "c")
+        heapq.heappush(sim._heap,
+                       (0.2, sim._next_seq()) + FOREIGN[shape](log))
+        with pytest.raises(Exception) as info:
+            sim.run()
+        assert not sim._running
+        return (info.type, log, repr(sim.now), sim._scheduled,
+                sim._events_executed, sim._cancelled_events, len(sim._heap))
+
+    reference = run("python")
+    assert reference[0] is AttributeError
+    assert reference == run("c")
+    assert reference[1:3] == (["a"], "0.1")
 
 
 def test_exotic_until_comparison_parity():

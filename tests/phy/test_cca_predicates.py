@@ -13,6 +13,13 @@ copy against the reference predicates ``Radio.cca_busy()`` and
 Contention rule encoded here: a sleeping radio senses nothing
 (``cca_busy()`` is False) but cannot transmit, so for channel access
 SLEEP is never idle.
+
+The per-reception paths (``_try_lock``, ``_try_lock_fast``,
+``_reception_complete``) also inline the ``Radio.state`` setter.  Over
+drawn step sequences (arrivals that lock, capture or stay energy only,
+arrival ends, deadlines, transmissions, jamming, sleep, power loss) the
+``on_state_change`` stream must equal the sequence of distinct states
+the radio actually took.
 """
 
 import math
@@ -179,3 +186,81 @@ def test_reception_complete_tail_matches_cca_busy(case):
     radio._reception_complete()
     assert radio._state is RadioState.IDLE and len(received) == 1
     _assert_cca_settled(radio, edges, before)
+
+
+class _TappedRadio(Radio):
+    """A radio that records every write to its ``_state`` slot."""
+
+    __slots__ = ("writes",)
+    _slot = Radio._state
+
+    def __init__(self, *args):
+        self.writes = []
+        super().__init__(*args)
+
+    @property
+    def _state(self):
+        return _TappedRadio._slot.__get__(self)
+
+    @_state.setter
+    def _state(self, value):
+        self.writes.append(value.value)
+        _TappedRadio._slot.__set__(self, value)
+
+
+#: Arrival powers as multiples of the preamble-detection floor: below it,
+#: just above it, and steps far enough apart (> 10 dB) to capture.
+MULTIPLES = [0.5, 2.0, 30.0, 1000.0]
+
+steps = st.lists(st.one_of(
+    st.tuples(st.just("begin"), st.booleans(), st.sampled_from(MULTIPLES)),
+    st.tuples(st.just("end"), st.integers(min_value=0, max_value=7)),
+    st.sampled_from([("advance",), ("transmit",), ("jam",), ("sleep",),
+                     ("wake",), ("power-off",)])), max_size=16)
+
+
+def _step(sim, radio, step):
+    kind = step[0]
+    if kind == "begin":
+        mode = DOT11B.modes[0] if step[1] else FOREIGN
+        begins = radio.arrival_begins if radio._exact \
+            else radio.arrival_begins_fast
+        begins(_Transmission(mode), step[2] * radio._preamble_floor_watts)
+    elif kind == "end":
+        table = list(radio._arrivals)
+        if table:
+            ends = radio.arrival_ends if radio._exact \
+                else radio.arrival_ends_fast
+            ends(table[step[1] % len(table)])
+    elif kind == "advance":
+        sim.run(max_events=1)   # reception deadline or end of TX
+    elif kind == "transmit":
+        if radio.state not in (RadioState.TX, RadioState.SLEEP):
+            radio.transmit(None, 800, DOT11B.modes[0])
+    elif kind == "jam":
+        if radio.state not in (RadioState.TX, RadioState.SLEEP):
+            radio.transmit_energy(1e-3)
+    elif kind == "sleep":
+        if radio.state is not RadioState.TX:
+            radio.sleep()
+    elif kind == "wake":
+        radio.wake()
+    else:
+        radio.power_off()
+
+
+@PROFILE
+@given(steps, st.booleans())
+def test_state_change_stream_matches_distinct_states(sequence, exact):
+    sim = Simulator(seed=1, trace=TraceLog(enabled=False))
+    medium = Medium(sim, FixedLoss(50.0), exact=exact)
+    radio = _TappedRadio("r", medium, DOT11B, Position(0, 0, 0))
+    stream = []
+    radio.on_state_change = stream.append
+    for step in sequence:
+        _step(sim, radio, step)
+    sim.run()
+    distinct = [state for previous, state
+                in zip(radio.writes, radio.writes[1:]) if state != previous]
+    assert stream == distinct
+    assert radio.writes[-1] == radio.state.value

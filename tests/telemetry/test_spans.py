@@ -93,11 +93,13 @@ class TestFrameSpanTracker:
         tracker = FrameSpanTracker(SpanLog())
         mac = _FakeMac(sim)
         tracker.attach(mac, name="sta")
-        first, second = object(), object()
+        # Nothing else references the MSDUs, as when a crashed MAC
+        # discards its queue without a terminal edge: the first one's id
+        # must not be recycled for the second while its span is open.
         sim._now = 1.0
-        mac._frame_probe(FRAME_ENQUEUE, first)
+        mac._frame_probe(FRAME_ENQUEUE, object())
         sim._now = 2.0
-        mac._frame_probe(FRAME_ENQUEUE, second)
+        mac._frame_probe(FRAME_ENQUEUE, object())
         tracker.finish(now=3.0)
         spans = list(tracker.spans)
         assert [s.start for s in spans] == [1.0, 2.0]

@@ -9,6 +9,11 @@ instead.  The only allowed exception is the medium's per-receiver
 arrival fan-out (``phy/channel.py`` and its sharded twin
 ``parallel/shard.py``), which pushes raw fire-and-forget entries.
 Reading these fields (as ``faults/invariants.py`` does) is fine.
+
+The guard also keeps the heap at two entry shapes, ``(time, seq,
+timer, version)`` and ``(time, seq, None, callback, args)``: the
+fan-out sites push only the raw shape, the engine pushes no
+three-element entry, and the compiled kernel has no handle branch.
 """
 
 import ast
@@ -38,11 +43,32 @@ def _is_heappush(func):
     return name.lstrip("_") == "heappush"
 
 
+def heap_pushes(tree):
+    """``(line, entry node)`` for each heappush onto ``<obj>._heap`` (or
+    a local alias of it) in ``tree``."""
+    aliases = _heap_aliases(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _is_heappush(node.func) \
+                and len(node.args) == 2:
+            heap = node.args[0]
+            if (isinstance(heap, ast.Attribute) and heap.attr == "_heap") \
+                    or (isinstance(heap, ast.Name) and heap.id in aliases):
+                yield node.lineno, node.args[1]
+
+
+def _is_raw_entry(entry):
+    return isinstance(entry, ast.Tuple) and len(entry.elts) == 5 \
+        and isinstance(entry.elts[2], ast.Constant) \
+        and entry.elts[2].value is None
+
+
 def violations(source, allow_heap_push=False):
     """``(line, what)`` for each kernel-internal write in ``source``."""
     tree = ast.parse(source)
-    aliases = _heap_aliases(tree)
     found = []
+    if not allow_heap_push:
+        found.extend((line, "heappush onto sim._heap")
+                     for line, _entry in heap_pushes(tree))
     for node in ast.walk(tree):
         targets = []
         if isinstance(node, ast.Assign):
@@ -53,13 +79,7 @@ def violations(source, allow_heap_push=False):
             if isinstance(target, ast.Attribute) \
                     and target.attr in TIMER_FIELDS:
                 found.append((node.lineno, f"writes .{target.attr}"))
-        if isinstance(node, ast.Call) and _is_heappush(node.func) \
-                and node.args and not allow_heap_push:
-            heap = node.args[0]
-            if (isinstance(heap, ast.Attribute) and heap.attr == "_heap") \
-                    or (isinstance(heap, ast.Name) and heap.id in aliases):
-                found.append((node.lineno, "heappush onto sim._heap"))
-    return found
+    return sorted(found)
 
 
 def test_only_the_engine_touches_timer_and_heap_internals():
@@ -103,3 +123,31 @@ def fan_out(sim, entry):
     assert violations("def live(t, e):\n    return t._armed and "
                       "t._version == e[3]\n") == []
     assert violations("import heapq\nq = []\nheapq.heappush(q, 1)\n") == []
+    # The shape check tells a raw fan-out entry from a three-element one.
+    pushes = heap_pushes(ast.parse(
+        "def push(sim, handle, cb):\n"
+        "    _heappush(sim._heap, (1.0, 0, handle))\n"
+        "    _heappush(sim._heap, (1.0, 1, None, cb, ()))\n"))
+    assert [_is_raw_entry(entry) for _line, entry in pushes] == [False, True]
+
+
+def test_fanout_sites_push_only_raw_entries():
+    pushes = 0
+    for relative in sorted(FANOUT_SITES):
+        tree = ast.parse((SRC / relative).read_text())
+        for line, entry in heap_pushes(tree):
+            pushes += 1
+            assert _is_raw_entry(entry), (
+                f"src/repro/{relative}:{line}: fan-out pushes must be "
+                "(time, seq, None, callback, args) literals")
+    assert pushes == 6  # the scan really saw both fan-outs
+
+
+def test_engine_pushes_two_shapes_only():
+    tree = ast.parse((SRC / OWNER).read_text())
+    shapes = sorted(len(entry.elts) for _line, entry in heap_pushes(tree)
+                    if isinstance(entry, ast.Tuple))
+    assert shapes == [4, 4, 4, 5, 5]  # Timer, schedule, schedule_at; fast
+    ckernel = (SRC / "core" / "_ckernel.c").read_text()
+    assert "handle_type" not in ckernel
+
